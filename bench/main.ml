@@ -1748,8 +1748,8 @@ let e30 () =
     Hashtbl.find_opt tbl
   in
   let domain_counts = [ 1; 2; 4 ] in
-  row "%-12s %6s %6s %5s %6s | %8s %8s %6s | %6s %5s" "layout" "levels"
-    "nets" "devs" "diags" "cold-s" "warm-s" "x" "replay" "same";
+  row "%-12s %6s %6s %5s %6s | %8s %8s %8s %6s | %6s %5s" "layout" "levels"
+    "nets" "devs" "diags" "cold-s" "cold-Mw" "warm-s" "x" "replay" "same";
   List.iter
     (fun (name, cell) ->
       let r = Erc.check_cell ~domains:4 cell in
@@ -1759,6 +1759,13 @@ let e30 () =
       in
       let cold_s =
         seconds (fun () -> ignore (Erc.check_cell ~domains:4 cell))
+      in
+      (* minor words of one cold check on one domain: the runtime
+         counts each domain's allocation separately *)
+      let cold_mwords =
+        let w0 = Gc.minor_words () in
+        ignore (Erc.check_cell ~domains:1 cell);
+        (Gc.minor_words () -. w0) /. 1e6
       in
       let warm_s =
         seconds (fun () ->
@@ -1780,14 +1787,15 @@ let e30 () =
            = Rsg_lint.Diag.report_to_json (Erc.to_diags r)
       in
       let speedup = cold_s /. Float.max warm_s 1e-9 in
-      row "%-12s %6d %6d %5d %6d | %8.4f %8.4f %5.0fx | %3d/%-3d %5b" name
-        levels r.Erc.r_nets r.Erc.r_devices diags cold_s warm_s speedup
-        rw.Erc.r_cached levels same;
+      row "%-12s %6d %6d %5d %6d | %8.4f %8.2f %8.4f %5.0fx | %3d/%-3d %5b"
+        name levels r.Erc.r_nets r.Erc.r_devices diags cold_s cold_mwords
+        warm_s speedup rw.Erc.r_cached levels same;
       json_int (name ^ ".erc_levels") levels;
       json_int (name ^ ".erc_nets") r.Erc.r_nets;
       json_int (name ^ ".erc_devices") r.Erc.r_devices;
       json_int (name ^ ".erc_diags") diags;
       json_num (name ^ ".erc_cold_s") cold_s;
+      json_num (name ^ ".erc_cold_mwords") cold_mwords;
       json_num (name ^ ".erc_warm_s") warm_s;
       json_num (name ^ ".erc_speedup") speedup;
       json_int (name ^ ".erc_replayed") rw.Erc.r_cached;

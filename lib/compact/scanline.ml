@@ -25,12 +25,13 @@ let is_contact = function
 (* Plane sweep over closed boxes: report every pair within Chebyshev
    distance [halo] of each other (touching counts; [halo = 0] reports
    exactly the overlapping-or-abutting pairs).  Boxes enter the active
-   set in xmin order and retire once their right edge falls more than
-   [halo] behind the sweep front; the active set is ordered by ymin so
-   a query stops as soon as candidates start past the query's top
-   edge.  On box-dominated layout geometry (bounded overlap depth)
-   this is O((n + k) log n) for k reported pairs — the all-pairs loop
-   this replaces was Theta(n^2) regardless of k. *)
+   set in (xmin, index) order and retire once their right edge falls
+   more than [halo] behind the sweep front.  The active set is ordered
+   by (ymin, index); no active box is taller than [maxh], so one that
+   starts below [ymin - halo - maxh] also ends below the query window
+   and the scan starts just above that key.  It stops as soon as
+   candidates start past the query's top edge.  Skipping those keys
+   drops no reported pair and reorders none. *)
 let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
   let n = Array.length boxes in
   if n > 1 then begin
@@ -43,8 +44,13 @@ let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
     let module IS = Set.Make (struct
       type t = int * int
 
-      let compare = compare
+      let compare ((a, i) : t) ((b, j) : t) =
+        let c = Int.compare a b in
+        if c <> 0 then c else Int.compare i j
     end) in
+    let maxh =
+      Array.fold_left (fun m b -> max m (b.Box.ymax - b.Box.ymin)) 0 boxes
+    in
     (* active: (ymin, idx); exits: (xmax + halo, idx) *)
     let active = ref IS.empty and exits = ref IS.empty in
     Array.iter
@@ -59,9 +65,6 @@ let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
           | _ -> ()
         in
         purge ();
-        (* an active box may start far below the query window yet reach
-           into it, so the scan starts at the bottom of the active set;
-           ymin ordering gives the early exit past the window's top *)
         let cutoff = b.Box.ymax + halo in
         let rec scan seq =
           match seq () with
@@ -72,7 +75,7 @@ let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
               scan tl
             end
         in
-        scan (IS.to_seq !active);
+        scan (IS.to_seq_from (b.Box.ymin - halo - maxh, min_int) !active);
         active := IS.add (b.Box.ymin, i) !active;
         exits := IS.add (b.Box.xmax + halo, i) !exits)
       order

@@ -42,11 +42,24 @@ type gen = {
 
 val sweep_pairs : ?halo:int -> Box.t array -> (int -> int -> unit) -> unit
 (** Plane sweep reporting every pair of boxes within Chebyshev
-    distance [halo] (default 0: overlapping or abutting closed boxes).
-    The callback receives the two indices, each unordered pair exactly
-    once.  O((n + k) log n) on bounded-overlap layout geometry — the
-    shared pair-finding engine of net merging and the design-rule
-    checker ({!Rsg_drc.Drc}). *)
+    distance [halo] (default 0: overlapping or abutting closed boxes),
+    each unordered pair exactly once — the shared pair-finding engine
+    of net merging, the design-rule checker ({!Rsg_drc.Drc}) and
+    hierarchical compaction.
+
+    Callback order is a contract: union-find representatives (the net
+    ids ERC messages print) and DRC's first kept spacing witness follow
+    it.  A call is [f j i] where box [i] comes later than box [j] in
+    (xmin, index) order.  Calls are grouped by [i] in that order, and
+    within a group [j] ascends by (ymin, index).
+
+    Cost: O(n log n) plus, per box, the active boxes (those still
+    within [halo] of the sweep front in x) whose ymin lies in
+    [\[ymin - halo - maxh, ymax + halo\]], [maxh] being the tallest
+    box's height.  On layout geometry of bounded density and height
+    that window is small; a single rail as tall as the layout widens
+    every window to the whole active set, which makes the worst case
+    quadratic. *)
 
 val nets_of : Rules.t -> item array -> int array
 (** Electrical net of each item: union-find over touching geometry on

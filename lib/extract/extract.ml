@@ -42,13 +42,17 @@ let lower_bound keys x =
 
 (* Raw gate regions — one per maximal poly-over-diffusion overlap —
    in deterministic per-poly order, plus the union-find classes that
-   merge touching same-net regions into one transistor.  Diffusion is
+   merge touching regions into one transistor.  Touching regions
+   always share a gate net: each lies inside its poly box, so their
+   polys touch too, and touching poly is one net.  Diffusion is
    sorted by xmin once; each poly box then scans only the window of
    diffusion boxes whose x-span can reach it, instead of the full
    quadratic product.  The per-poly scans are independent, so they fan
    out across domains; results come back in poly order regardless of
    scheduling. *)
-let gate_regions ~domains (items : Scanline.item array) nets =
+type region = { r_gate : Box.t; r_poly : int; r_diff : int }
+
+let gate_regions ~domains (items : Scanline.item array) =
   let n = Array.length items in
   let layer_indices l =
     let buf = ref [] in
@@ -82,10 +86,7 @@ let gate_regions ~domains (items : Scanline.item array) nets =
       let db = items.(j).Scanline.box in
       (if proper_overlap pb db then
          match Box.intersect pb db with
-         | Some g ->
-           out :=
-             { gate = g; poly_item = i; diff_item = j; gate_net = nets.(i) }
-             :: !out
+         | Some g -> out := { r_gate = g; r_poly = i; r_diff = j } :: !out
          | None -> ());
       incr k
     done;
@@ -93,20 +94,22 @@ let gate_regions ~domains (items : Scanline.item array) nets =
   in
   let per_poly = Par.chunked_map ~domains ~chunk:16 gates_of_poly polys in
   let gates = Array.of_list (List.concat (Array.to_list per_poly)) in
-  (* merge touching gate regions of the same gate net, via the shared
-     plane sweep instead of the old all-pairs loop *)
+  (* merge touching gate regions via the shared plane sweep, which at
+     halo 0 reports exactly the touching pairs *)
   let parent = Array.init (Array.length gates) Fun.id in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
   Scanline.sweep_pairs
-    (Array.map (fun d -> d.gate) gates)
+    (Array.map (fun g -> g.r_gate) gates)
     (fun i j ->
-      if
-        gates.(i).gate_net = gates.(j).gate_net
-        && Box.overlaps gates.(i).gate gates.(j).gate
-      then begin
-        let ri = find i and rj = find j in
-        if ri <> rj then parent.(ri) <- rj
-      end);
+      let ri = find i and rj = find j in
+      if ri <> rj then parent.(ri) <- rj);
   (gates, Array.init (Array.length gates) find)
 
 let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
@@ -123,11 +126,17 @@ let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
   done;
   let devices =
     Obs.span "extract.devices" @@ fun () ->
-    let gates, classes = gate_regions ~domains items nets in
+    let gates, classes = gate_regions ~domains items in
     let tbl = Hashtbl.create 16 in
     let order = ref [] in
     Array.iteri
-      (fun i d ->
+      (fun i g ->
+        let d =
+          { gate = g.r_gate;
+            poly_item = g.r_poly;
+            diff_item = g.r_diff;
+            gate_net = nets.(g.r_poly) }
+        in
         let r = classes.(i) in
         match Hashtbl.find_opt tbl r with
         | None ->
@@ -211,17 +220,16 @@ let mos_of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
     match domains with Some d -> max 1 d | None -> Par.default_domains ()
   in
   Obs.span "extract.mos" @@ fun () ->
-  let nets0 = Scanline.nets_of rules items in
-  let gates, classes = gate_regions ~domains items nets0 in
+  let gates, classes = gate_regions ~domains items in
   let ng = Array.length gates in
   (* gate rects per diffusion item, in raw gate order *)
   let cuts_of_diff : (int, Box.t list) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun g ->
       let prev =
-        Option.value ~default:[] (Hashtbl.find_opt cuts_of_diff g.diff_item)
+        Option.value ~default:[] (Hashtbl.find_opt cuts_of_diff g.r_diff)
       in
-      Hashtbl.replace cuts_of_diff g.diff_item (g.gate :: prev))
+      Hashtbl.replace cuts_of_diff g.r_diff (g.r_gate :: prev))
     gates;
   (* rebuild the item array with each diffusion box replaced by its
      gate-free fragments; non-diffusion items keep their layer and box
@@ -285,22 +293,22 @@ let mos_of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
       | Some m -> m
       | None ->
         order := r :: !order;
-        { m_gate = g.gate;
-          m_gate_net = mn_nets.(remap.(g.poly_item));
+        { m_gate = g.r_gate;
+          m_gate_net = mn_nets.(remap.(g.r_poly));
           m_source = None;
           m_drain = None }
     in
-    let cur = ref { cur with m_gate = Box.union cur.m_gate g.gate } in
+    let cur = ref { cur with m_gate = Box.union cur.m_gate g.r_gate } in
     List.iter
       (fun (idx, b) ->
-        match side_touch b g.gate with
+        match side_touch b g.r_gate with
         | Some (`Left | `Below) ->
           cur := { !cur with m_source = pick !cur.m_source mn_nets.(idx) }
         | Some (`Right | `Above) ->
           cur := { !cur with m_drain = pick !cur.m_drain mn_nets.(idx) }
         | None -> ())
       (List.rev
-         (Option.value ~default:[] (Hashtbl.find_opt frags_of_diff g.diff_item)));
+         (Option.value ~default:[] (Hashtbl.find_opt frags_of_diff g.r_diff)));
     Hashtbl.replace mos_tbl r !cur
   done;
   let mn_mos =

@@ -669,6 +669,108 @@ let prop_compaction_legal_random =
               pathological overlaps; rejecting is fine *)
            true))
 
+(* ------------------------------------------------------------------ *)
+(* Plane sweep                                                        *)
+
+(* The reference sweep: every query scans the active set from its
+   lowest ymin.  [Scanline.sweep_pairs] skips boxes that cannot reach
+   the query; it must still make the same calls in the same order,
+   since union-find representatives (ERC net ids) and DRC's first kept
+   spacing witness follow that order. *)
+let reference_sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
+  let n = Array.length boxes in
+  if n > 1 then begin
+    let order = Array.init n Fun.id in
+    Array.sort
+      (fun i j -> compare (boxes.(i).Box.xmin, i) (boxes.(j).Box.xmin, j))
+      order;
+    let module IS = Set.Make (struct
+      type t = int * int
+
+      let compare = compare
+    end) in
+    let active = ref IS.empty and exits = ref IS.empty in
+    Array.iter
+      (fun i ->
+        let b = boxes.(i) in
+        let rec purge () =
+          match IS.min_elt_opt !exits with
+          | Some ((x_exit, j) as e) when x_exit < b.Box.xmin ->
+            exits := IS.remove e !exits;
+            active := IS.remove (boxes.(j).Box.ymin, j) !active;
+            purge ()
+          | _ -> ()
+        in
+        purge ();
+        IS.iter
+          (fun (ymin, j) ->
+            if ymin <= b.Box.ymax + halo
+               && boxes.(j).Box.ymax >= b.Box.ymin - halo
+            then f j i)
+          !active;
+        active := IS.add (b.Box.ymin, i) !active;
+        exits := IS.add (b.Box.xmax + halo, i) !exits)
+      order
+  end
+
+let calls sweep ~halo boxes =
+  let out = ref [] in
+  sweep ?halo:(Some halo) boxes (fun i j -> out := (i, j) :: !out);
+  List.rev !out
+
+let prop_sweep_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      (* few distinct x positions so xmins collide; zero extents *)
+      let coord = oneof [ int_range 0 30; oneofl [ 0; 4; 8 ] ] in
+      let extent = frequency [ (1, return 0); (4, int_range 1 8) ] in
+      let gen_box =
+        let* x = coord and* y = coord in
+        let* w = extent and* h = extent in
+        return (box x y (x + w) (y + h))
+      in
+      let* boxes = list_size (int_range 0 40) gen_box in
+      let* rail = bool and* at = int_range 0 40 and* rx = coord in
+      (* one tall rail among the short boxes *)
+      let boxes =
+        if rail then
+          List.filteri (fun i _ -> i < at) boxes
+          @ (box rx (-10) (rx + 2) 70 :: List.filteri (fun i _ -> i >= at) boxes)
+        else boxes
+      in
+      let* halo = int_range 0 5 in
+      return (halo, Array.of_list boxes))
+  in
+  let print (halo, boxes) =
+    Printf.sprintf "halo %d: %s" halo
+      (String.concat " "
+         (Array.to_list
+            (Array.map
+               (fun b ->
+                 Printf.sprintf "[%d,%d..%d,%d]" b.Box.xmin b.Box.ymin
+                   b.Box.xmax b.Box.ymax)
+               boxes)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500
+       ~name:"sweep_pairs calls match the reference in order"
+       (QCheck.make ~print gen) (fun (halo, boxes) ->
+         calls Scanline.sweep_pairs ~halo boxes
+         = calls reference_sweep_pairs ~halo boxes))
+
+let test_sweep_pairs_contract () =
+  (* every unordered pair within distance [halo], once, grouped by the
+     later box in (xmin, index) order *)
+  let boxes =
+    [| box 0 0 4 4; box 4 0 8 2; box 0 10 2 40; box 3 30 6 31; box 20 0 20 5 |]
+  in
+  Alcotest.(check (list (pair int int)))
+    "halo 0: touching pairs" [ (0, 1) ]
+    (calls Scanline.sweep_pairs ~halo:0 boxes);
+  Alcotest.(check (list (pair int int)))
+    "halo 6: pairs within 6" [ (0, 2); (2, 3); (0, 1) ]
+    (calls Scanline.sweep_pairs ~halo:6 boxes)
+
 let () =
   Alcotest.run "rsg_compact"
     [ ("bellman",
@@ -723,6 +825,9 @@ let () =
          Alcotest.test_case "geometry" `Quick test_contact_expansion_geometry;
          Alcotest.test_case "too small" `Quick test_contact_too_small;
          Alcotest.test_case "expand cell" `Quick test_expand_cell ]);
+      ("sweep",
+       [ Alcotest.test_case "pair contract" `Quick test_sweep_pairs_contract;
+         prop_sweep_matches_reference ]);
       ("two-dimensional",
        [ Alcotest.test_case "transpose involution" `Quick
            test_transpose_involution;

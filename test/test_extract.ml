@@ -329,6 +329,205 @@ let test_mos_domains_identical () =
         (mos_of_cell ~domains:d cell = seq))
     [ 2; 4 ]
 
+(* [mos_of_items] as it was before it dropped its net pass over the
+   unsplit geometry: touching gate regions merge only when their polys
+   share a net of that geometry.  The extractor now merges on touch
+   alone (touching gates lie in touching polys, which are one net).
+   Written plainly — all-pairs scans, no domains — and must agree with
+   the extractor exactly. *)
+let reference_mos_of_items items labels =
+  let module S = Rsg_compact.Scanline in
+  let rules = Rsg_compact.Rules.default in
+  let nets0 = S.nets_of rules items in
+  let n = Array.length items in
+  let on layer =
+    List.filter (fun i -> items.(i).S.layer = layer) (List.init n Fun.id)
+  in
+  let diffs =
+    List.sort
+      (fun i j ->
+        compare (items.(i).S.box.Box.xmin, i) (items.(j).S.box.Box.xmin, j))
+      (on Layer.Diffusion)
+  in
+  let proper (a : Box.t) (b : Box.t) =
+    a.Box.xmin < b.Box.xmax && b.Box.xmin < a.Box.xmax
+    && a.Box.ymin < b.Box.ymax && b.Box.ymin < a.Box.ymax
+  in
+  (* raw gates: polys in index order, diffusion in (xmin, index) order *)
+  let gates =
+    Array.of_list
+      (List.concat_map
+         (fun p ->
+           List.filter_map
+             (fun d ->
+               let pb = items.(p).S.box and db = items.(d).S.box in
+               if proper pb db then
+                 Option.map (fun g -> (g, p, d)) (Box.intersect pb db)
+               else None)
+             diffs)
+         (on Layer.Poly))
+  in
+  let ng = Array.length gates in
+  let parent = Array.init ng Fun.id in
+  let rec find i = if parent.(i) = i then i else find parent.(i) in
+  for i = 0 to ng - 1 do
+    for j = i + 1 to ng - 1 do
+      let gi, pi, _ = gates.(i) and gj, pj, _ = gates.(j) in
+      if nets0.(pi) = nets0.(pj) && Box.overlaps gi gj then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then parent.(ri) <- rj
+      end
+    done
+  done;
+  (* diffusion split around its gates, in raw gate order *)
+  let cuts = Array.make n [] in
+  Array.iter (fun (g, _, d) -> cuts.(d) <- cuts.(d) @ [ g ]) gates;
+  let out = ref [] and count = ref 0 in
+  let push it =
+    out := it :: !out;
+    incr count;
+    !count - 1
+  in
+  let remap = Array.make n (-1) and frags = Array.make n [] in
+  Array.iteri
+    (fun j it ->
+      if it.S.layer = Layer.Diffusion then
+        List.iter
+          (fun b ->
+            let idx = push { S.layer = Layer.Diffusion; box = b } in
+            frags.(j) <- frags.(j) @ [ (idx, b) ])
+          (List.fold_left
+             (fun fs cut -> List.concat_map (fun f -> Box.subtract f cut) fs)
+             [ it.S.box ] cuts.(j))
+      else remap.(j) <- push it)
+    items;
+  let mn_items = Array.of_list (List.rev !out) in
+  let mn_nets = S.nets_of rules mn_items in
+  let conductor = function
+    | Layer.Metal | Layer.Poly | Layer.Diffusion | Layer.Contact
+    | Layer.Contact_cut ->
+      true
+    | _ -> false
+  in
+  let reps = Hashtbl.create 16 in
+  Array.iteri
+    (fun i it -> if conductor it.S.layer then Hashtbl.replace reps mn_nets.(i) ())
+    mn_items;
+  let side (f : Box.t) (r : Box.t) =
+    let xov = min f.Box.xmax r.Box.xmax - max f.Box.xmin r.Box.xmin in
+    let yov = min f.Box.ymax r.Box.ymax - max f.Box.ymin r.Box.ymin in
+    if (f.Box.xmax = r.Box.xmin && yov > 0) || (f.Box.ymax = r.Box.ymin && xov > 0)
+    then `Source
+    else if
+      (f.Box.xmin = r.Box.xmax && yov > 0) || (f.Box.ymin = r.Box.ymax && xov > 0)
+    then `Drain
+    else `Neither
+  in
+  let lower old v = match old with Some m when m <= v -> old | _ -> Some v in
+  let tbl = Hashtbl.create 16 and order = ref [] in
+  Array.iteri
+    (fun gi (g, p, d) ->
+      let r = find gi in
+      let m =
+        match Hashtbl.find_opt tbl r with
+        | Some m -> { m with m_gate = Box.union m.m_gate g }
+        | None ->
+          order := r :: !order;
+          { m_gate = g;
+            m_gate_net = mn_nets.(remap.(p));
+            m_source = None;
+            m_drain = None }
+      in
+      let m =
+        List.fold_left
+          (fun m (idx, b) ->
+            match side b g with
+            | `Source -> { m with m_source = lower m.m_source mn_nets.(idx) }
+            | `Drain -> { m with m_drain = lower m.m_drain mn_nets.(idx) }
+            | `Neither -> m)
+          m frags.(d)
+      in
+      Hashtbl.replace tbl r m)
+    gates;
+  let net_at at =
+    let rec go i =
+      if i >= Array.length mn_items then None
+      else if
+        conductor mn_items.(i).S.layer && Box.contains mn_items.(i).S.box at
+      then Some mn_nets.(i)
+      else go (i + 1)
+    in
+    go 0
+  in
+  let resolved = List.map (fun (t, at) -> (t, net_at at)) labels in
+  { mn_items;
+    mn_nets;
+    mn_n_nets = Hashtbl.length reps;
+    mn_mos = Array.of_list (List.rev_map (Hashtbl.find tbl) !order);
+    mn_terminals =
+      List.filter_map (fun (t, v) -> Option.map (fun v -> (t, v)) v) resolved;
+    mn_unresolved =
+      List.filter_map (fun (t, v) -> if v = None then Some t else None) resolved
+  }
+
+let prop_mos_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let gen_item =
+        let* l =
+          frequency
+            [ (3, return Layer.Poly); (3, return Layer.Diffusion);
+              (1, return Layer.Contact); (1, return Layer.Metal) ]
+        in
+        let* x = int_range 0 30 and* y = int_range 0 30 in
+        let* w = int_range 1 12 and* h = int_range 1 12 in
+        return (item l (box x y (x + w) (y + h)))
+      in
+      let gen_label =
+        let* x = int_range 0 40 and* y = int_range 0 40 and* k = int_range 0 99 in
+        return (Printf.sprintf "t%d" k, Vec.make x y)
+      in
+      let* items = list_size (int_range 1 30) gen_item in
+      let* labels = list_size (int_range 0 4) gen_label in
+      return (Array.of_list items, labels))
+  in
+  let print (items, _) =
+    String.concat " "
+      (Array.to_list
+         (Array.map
+            (fun it ->
+              let b = it.Rsg_compact.Scanline.box in
+              Printf.sprintf "%s[%d,%d..%d,%d]"
+                (Layer.name it.Rsg_compact.Scanline.layer)
+                b.Box.xmin b.Box.ymin b.Box.xmax b.Box.ymax)
+            items))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"random layouts match the reference"
+       (QCheck.make ~print gen) (fun (items, labels) ->
+         mos_of_items items labels = reference_mos_of_items items labels))
+
+let test_mos_families_match_reference () =
+  List.iter
+    (fun (name, cell) ->
+      let f = Flatten.flatten cell in
+      let items = Rsg_compact.Scanline.items_of_flat f in
+      let labels = Array.to_list f.Flatten.flat_labels in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: mos netlist equals the reference" name)
+        true
+        (mos_of_items items labels = reference_mos_of_items items labels))
+    [ ("multiplier",
+       (Rsg_mult.Layout_gen.generate ~xsize:8 ~ysize:8 ())
+         .Rsg_mult.Layout_gen.whole);
+      ("pla",
+       (Rsg_pla.Gen.generate
+          (Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ]))
+         .Rsg_pla.Gen.cell);
+      ("decoder", (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell);
+      ("ram", (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell)
+    ]
+
 let () =
   Alcotest.run "rsg_extract"
     [ ("nets",
@@ -367,6 +566,9 @@ let () =
          Alcotest.test_case "census matches devices" `Quick
            test_mos_census_matches_devices;
          Alcotest.test_case "identical across domains" `Quick
-           test_mos_domains_identical ]);
+           test_mos_domains_identical;
+         prop_mos_matches_reference;
+         Alcotest.test_case "families match the reference" `Quick
+           test_mos_families_match_reference ]);
       ("domains",
        [ Alcotest.test_case "netlist identical" `Quick test_domains_identical ]) ]
